@@ -5,20 +5,23 @@
 // Section 4.2 tunnel addressing schemes.
 //
 // In addition to google-benchmark's own flags, `--json <path>` writes every
-// per-iteration result as {name, value, unit} in the shared bench JSON
-// schema (see bench_common.hpp) for regression tracking.
+// per-iteration result as {name, value, unit} in the bench snapshot schema
+// (see results.hpp) for regression tracking.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "core/alternates.hpp"
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
 #include "dataplane/encapsulation.hpp"
 #include "net/prefix_trie.hpp"
 #include "policy/aspath_regex.hpp"
+#include "results.hpp"
 #include "topology/generator.hpp"
 
 namespace {
@@ -171,37 +174,62 @@ void BM_AsPathRegexMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AsPathRegexMatch);
 
-/// Console reporter that additionally captures each measured run into the
-/// bench JSON writer (aggregates and errored runs excluded).
+/// Console reporter that additionally captures each measured run as a
+/// result row (aggregates and errored runs excluded).
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
-  explicit CapturingReporter(bench::BenchJsonWriter& json) : json_(json) {}
+  explicit CapturingReporter(bench::Results& rows) : rows_(rows) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      json_.add(run.benchmark_name(), run.GetAdjustedRealTime(),
+      rows_.add(run.benchmark_name(), run.GetAdjustedRealTime(),
                 benchmark::GetTimeUnitString(run.time_unit));
     }
   }
 
  private:
-  bench::BenchJsonWriter& json_;
+  bench::Results& rows_;
 };
+
+/// Pulls `--json <path>` out of argv (compacting it) before
+/// google-benchmark, which rejects flags it does not know, sees the rest.
+/// Returns "" when absent; a trailing `--json` without a value exits 2.
+std::string take_json_flag(int& argc, char** argv) {
+  std::string path;
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != "--json") {
+      argv[out++] = argv[i];
+    } else if (i + 1 < argc) {
+      path = argv[++i];
+    } else {
+      std::fprintf(stderr, "error: missing value for --json\n");
+      std::exit(2);
+    }
+  }
+  argc = out;
+  return path;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using miro::bench::BenchJsonWriter;
-  miro::bench::take_threads_flag(argc, argv);
-  BenchJsonWriter json(miro::bench::take_json_flag(argc, argv));
-  json.set_config("suite", "bench_micro_protocol");
-  json.set_config("topology", "gao2005 scale 0.25");
+  const std::string json_path = take_json_flag(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CapturingReporter reporter(json);
+  miro::bench::Results rows;
+  CapturingReporter reporter(rows);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return json.write() ? 0 : 2;
+  if (json_path.empty()) return 0;
+  miro::JsonValue config = miro::JsonValue::make_object();
+  config.set("suite", miro::JsonValue::make_string("bench_micro_protocol"));
+  config.set("topology", miro::JsonValue::make_string("gao2005 scale 0.25"));
+  std::ofstream out(json_path);
+  out << miro::bench::snapshot(std::move(config), rows, nullptr, nullptr)
+             .dump()
+      << "\n";
+  return out ? 0 : 2;
 }

@@ -76,12 +76,16 @@ void SessionedBgpNetwork::send(NodeId from, NodeId to,
         static_cast<std::uint32_t>(path_at_sender.size()));
   }
   ++messages_in_flight_;
-  scheduler_->after(link_delay_, [this, from, to, sent_id,
+  const std::uint32_t generation = session_generation(from, to);
+  scheduler_->after(link_delay_, [this, from, to, sent_id, generation,
                                   path = std::move(path_at_sender)]() {
     --messages_in_flight_;
     // A message in flight across a link that failed meanwhile is lost; the
-    // session-down handling already flushed the receiver's state.
-    if (!link_up(from, to)) {
+    // session-down handling already flushed the receiver's state. So is one
+    // sent over a session that has since been reset, even if the link is
+    // back up: the new session starts from a fresh table exchange, and the
+    // sender may no longer export what the old session carried.
+    if (!link_up(from, to) || session_generation(from, to) != generation) {
       ++stats_.lost_in_flight;
       if (ribmon_ != nullptr) {
         obs::RibMonitor::CauseScope loss_scope(ribmon_, sent_id);
@@ -384,6 +388,7 @@ void SessionedBgpNetwork::reselect(NodeId node) {
 void SessionedBgpNetwork::fail_link(NodeId a, NodeId b) {
   require(graph_->has_edge(a, b), "fail_link: no such link");
   if (!failed_links_.insert(link_key(a, b)).second) return;  // already down
+  ++session_generations_[link_key(a, b)];
   // Session down: both sides flush what they learned over it, the
   // Adj-RIB-Out presence bit, and any parked MRAI message, then re-run
   // selection (which propagates any change as updates/withdrawals to the

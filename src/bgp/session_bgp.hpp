@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -109,7 +110,8 @@ class SessionedBgpNetwork {
   /// Observer invoked at the instant an UPDATE (path non-empty) or WITHDRAW
   /// (path empty) is actually delivered to `to` — the ground truth a shadow
   /// Adj-RIB-In (churn::InvariantChecker) reconstructs. Messages lost to a
-  /// link that failed while they were in flight are not observed.
+  /// link that failed, or a session reset, while they were in flight are
+  /// not observed.
   using MessageObserver = std::function<void(
       NodeId from, NodeId to, const std::vector<NodeId>& path_at_sender)>;
   void set_message_observer(MessageObserver observer) {
@@ -131,7 +133,8 @@ class SessionedBgpNetwork {
     /// Wire messages that actually arrived (the rest died with their link).
     std::size_t delivered_updates = 0;
     std::size_t delivered_withdrawals = 0;
-    /// Messages lost because their link failed while they were in flight.
+    /// Messages lost because their link failed (or their session was reset)
+    /// while they were in flight.
     std::size_t lost_in_flight = 0;
     std::size_t selections = 0;
     /// Outbound messages that never hit the wire because a newer message
@@ -265,6 +268,12 @@ class SessionedBgpNetwork {
   bool link_up(NodeId a, NodeId b) const {
     return failed_links_.find(link_key(a, b)) == failed_links_.end();
   }
+  /// How many times the a-b session has been reset (0 until the first
+  /// fail_link). A message carries the generation it was sent under.
+  std::uint32_t session_generation(NodeId a, NodeId b) const {
+    const auto it = session_generations_.find(link_key(a, b));
+    return it == session_generations_.end() ? 0 : it->second;
+  }
 
   /// Delivers an UPDATE (path non-empty) or WITHDRAW (path empty) from
   /// `from` to `to` after the link delay. `replaces` marks an UPDATE that
@@ -300,6 +309,9 @@ class SessionedBgpNetwork {
   /// while raw storage would grow like routes x path length.
   PathTable paths_;
   std::set<std::uint64_t> failed_links_;
+  /// Per-link session generation, bumped by fail_link; only links that
+  /// have failed at least once have an entry.
+  std::map<std::uint64_t, std::uint32_t> session_generations_;
   std::set<NodeId> origins_;
   RouteChangeObserver observer_;
   MessageObserver message_observer_;

@@ -6,8 +6,8 @@
 //     wall-clock plane);
 //   - the Chrome-trace exporter emits valid JSON that round-trips through
 //     the in-repo parser with both track types present;
-//   - BenchJsonWriter output is always valid JSON: strings escaped,
-//     non-finite values emitted as null;
+//   - bench snapshots carry the profile section and turn non-finite
+//     values into null;
 //   - the gate fails on an injected >25% slowdown and only then.
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "core/protocol.hpp"
@@ -33,6 +32,7 @@
 #include "obs/profile.hpp"
 #include "obs/regression.hpp"
 #include "obs/trace.hpp"
+#include "results.hpp"
 #include "scenarios.hpp"
 
 namespace miro::obs {
@@ -380,36 +380,33 @@ TEST(ChromeTrace, EmptySourcesStillProduceAValidFile) {
   EXPECT_TRUE(doc.at("traceEvents").is_array());
 }
 
-// --------------------------------------------------------- BenchJsonWriter
+// ------------------------------------------------------- bench snapshots
 
-TEST(BenchJsonWriter, EscapesStringsAndNullsNonFiniteValues) {
-  const std::string path = ::testing::TempDir() + "bench_writer_test.json";
-  bench::BenchJsonWriter writer(path);
-  writer.set_config("profiles", "gao\"2000\"\\agarwal");
-  writer.set_config("scale", 0.5);
-  writer.add("ok_row", 1.5, "ms");
-  writer.add("nan_row", std::nan(""), "fraction");
-  writer.add("inf_row", std::numeric_limits<double>::infinity(), "x\ny");
-  ASSERT_TRUE(writer.write());
-
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  // The whole point: the document parses even with hostile strings and
-  // non-finite values (the seed wrote bare `nan`, which no parser accepts).
-  const JsonValue doc = JsonValue::parse(buffer.str());
+TEST(BenchSnapshot, NonFiniteValuesBecomeNullAndDumpParses) {
+  bench::Results rows;
+  rows.add("ok_row", 1.5, "ms");
+  rows.add("nan_row", std::nan(""), "fraction");
+  rows.add("inf_row", std::numeric_limits<double>::infinity(), "x\ny");
+  JsonValue config = JsonValue::make_object();
+  config.set("profiles", JsonValue::make_string("gao\"2000\"\\agarwal"));
+  const JsonValue snapshot =
+      bench::snapshot(std::move(config), rows, nullptr, nullptr);
+  const JsonValue& results = snapshot.at("results");
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_DOUBLE_EQ(results.at(0).at("value").as_number(), 1.5);
+  EXPECT_TRUE(results.at(1).at("value").is_null());
+  EXPECT_TRUE(results.at(2).at("value").is_null());
+  EXPECT_FALSE(snapshot.contains("profile"));
+  EXPECT_FALSE(snapshot.contains("memory"));
+  // The serialized document parses back with hostile strings intact.
+  const JsonValue doc = JsonValue::parse(snapshot.dump());
   EXPECT_EQ(doc.at("config").at("profiles").as_string(),
             "gao\"2000\"\\agarwal");
-  ASSERT_EQ(doc.at("results").size(), 3u);
-  EXPECT_EQ(doc.at("results").at(1).at("value").kind(),
-            JsonValue::Kind::Null);
-  EXPECT_EQ(doc.at("results").at(2).at("value").kind(),
-            JsonValue::Kind::Null);
   EXPECT_EQ(doc.at("results").at(2).at("unit").as_string(), "x\ny");
+  EXPECT_TRUE(doc.at("results").at(1).at("value").is_null());
 }
 
-TEST(BenchJsonWriter, AttachedProfilerWritesSpanSection) {
+TEST(BenchSnapshot, AttachedRegistriesWriteProfileAndMemorySections) {
   ProfileRegistry registry;
   std::uint64_t now = 0;
   registry.set_clock([&now]() { return now; });
@@ -417,40 +414,20 @@ TEST(BenchJsonWriter, AttachedProfilerWritesSpanSection) {
     ScopedSpan span(&registry, "eval/plan", "eval");
     now += 1'500'000;
   }
-  const std::string path = ::testing::TempDir() + "bench_profile_test.json";
-  bench::BenchJsonWriter writer(path);
-  writer.set_profile(&registry);
-  ASSERT_TRUE(writer.write());
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  const JsonValue doc = JsonValue::parse(buffer.str());
+  MemoryRegistry memory;
+  memory.account("eval/trees").set_current(4096);
+  const JsonValue doc = JsonValue::parse(
+      bench::snapshot(JsonValue::make_object(), bench::Results{}, &registry,
+                      &memory)
+          .dump());
   EXPECT_DOUBLE_EQ(doc.at("profile").at("eval/plan").at("total_ms")
                        .as_number(),
                    1.5);
   EXPECT_EQ(doc.at("profile").at("eval/plan").at("count").as_number(), 1.0);
-}
-
-TEST(BenchJsonWriter, TakeJsonFlagExtractsPathAndRejectsTrailingFlag) {
-  char prog[] = "bench", a[] = "--foo", b[] = "--json", c[] = "out.json",
-       d[] = "--bar";
-  {
-    char* argv[] = {prog, a, b, c, d};
-    int argc = 5;
-    EXPECT_EQ(bench::take_json_flag(argc, argv), "out.json");
-    ASSERT_EQ(argc, 3);  // compacted around the consumed pair
-    EXPECT_STREQ(argv[1], "--foo");
-    EXPECT_STREQ(argv[2], "--bar");
-  }
-  {
-    // Satellite fix: a trailing --json with no value used to be silently
-    // ignored; it must be a hard usage error.
-    char* argv[] = {prog, a, b};
-    int argc = 3;
-    EXPECT_EXIT(bench::take_json_flag(argc, argv),
-                ::testing::ExitedWithCode(2), "missing value for --json");
-  }
+  EXPECT_EQ(doc.at("memory").at("accounts").at("eval/trees").at("bytes")
+                .as_number(),
+            4096.0);
+  EXPECT_EQ(doc.at("results").size(), 0u);
 }
 
 // --------------------------------------------------------- regression gate

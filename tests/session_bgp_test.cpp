@@ -200,6 +200,31 @@ TEST(SessionBgp, RapidFlapEndingDownDrainsTheFlappedSessions) {
   expect_converged_and_clean(h.network, survived, f);
 }
 
+TEST(SessionBgp, SessionResetDropsMessagesSentOverTheOldSession) {
+  // F announces to E, then the F-E session is reset (down and up in the
+  // same instant) and F withdraws its prefix before the announcement lands.
+  // The announcement rode the old session: delivering it to the new one
+  // would leave E holding a route F no longer exports.
+  SessionHarness h;
+  std::size_t delivered_f_to_e = 0;
+  h.network.set_message_observer(
+      [&](topo::NodeId from, topo::NodeId to,
+          const std::vector<topo::NodeId>&) {
+        if (from == h.fig.f && to == h.fig.e) ++delivered_f_to_e;
+      });
+  h.network.start();
+  h.network.fail_link(h.fig.f, h.fig.e);
+  h.network.restore_link(h.fig.f, h.fig.e);
+  h.network.withdraw_prefix();
+  h.run();
+  EXPECT_EQ(delivered_f_to_e, 0u);
+  EXPECT_EQ(h.network.adj_in_of(h.fig.e).count(h.fig.f), 0u);
+  EXPECT_GE(h.network.stats().lost_in_flight, 1u);
+  for (topo::NodeId node = 0; node < h.fig.graph.node_count(); ++node)
+    EXPECT_FALSE(h.network.has_route(node)) << "ghost route at " << node;
+  EXPECT_EQ(h.network.messages_in_flight(), 0u);
+}
+
 TEST(SessionBgp, DefenseConfigOffByDefaultAndValidated) {
   SessionHarness h;
   EXPECT_EQ(h.network.defense().mrai, 0u);

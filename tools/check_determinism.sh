@@ -6,9 +6,9 @@
 #                        srand(). Everything must draw from the seeded
 #                        common/rng.hpp Rng.
 #   wall-clock           system/steady/high-resolution clocks or
-#                        gettimeofday in code that computes results. Benches
-#                        legitimately time themselves; each such file is
-#                        allowlisted below, one line per file.
+#                        gettimeofday in code that computes results. The
+#                        bench suite legitimately times itself through one
+#                        Stopwatch; that file is allowlisted below.
 #   unordered-iteration  a range-for directly over an unordered container:
 #                        iteration order is implementation-defined, so any
 #                        result assembled that way is nondeterministic.
