@@ -59,15 +59,6 @@ double static_agreement(const eval::ExperimentPlan& plan) {
                     : static_cast<double>(agree) / static_cast<double>(total);
 }
 
-// Footprint rows for Table 5.1 and Figure 5.1, which read only the graph:
-// a graph-only generate, so running either alone solves no trees. (Their
-// printers generate from the profile too; see ROADMAP.md.)
-void add_graph_rows(Results& rows, const Context& ctx,
-                    const std::string& profile) {
-  add_memory_rows(rows, profile,
-                  topo::generate(topo::profile(profile, ctx.config().scale)));
-}
-
 }  // namespace
 
 // Table 5.1: attributes of the data sets.
@@ -79,12 +70,21 @@ void add_graph_rows(Results& rows, const Context& ctx,
 //   Agarwal 2004: 16921 / 38282 / 34552 / 3553 / 177
 // The synthetic profiles reproduce the edge-per-node density and the
 // relationship mix at the requested scale.
+//
+// Table 5.1 and Figure 5.1 read only the graph: each profile's graph is
+// generated once and feeds both the printer and the footprint rows, so
+// running either alone solves no trees.
 void run_table_5_1_datasets(Context& ctx, Results& rows) {
   const Stopwatch watch;
-  eval::print_dataset_table(ctx.profiles(), ctx.config().scale, std::cout);
-  rows.add("dataset_table.elapsed", watch.ms(), "ms");
+  std::vector<topo::AsGraph> graphs;
   for (const std::string& profile : ctx.profiles())
-    add_graph_rows(rows, ctx, profile);
+    graphs.push_back(
+        topo::generate(topo::profile(profile, ctx.config().scale)));
+  eval::print_dataset_table(ctx.profiles(), graphs, ctx.config().scale,
+                            std::cout);
+  rows.add("dataset_table.elapsed", watch.ms(), "ms");
+  for (std::size_t i = 0; i < graphs.size(); ++i)
+    add_memory_rows(rows, ctx.profiles()[i], graphs[i]);
 }
 
 // Figure 5.1: the node degree distribution.
@@ -95,10 +95,12 @@ void run_table_5_1_datasets(Context& ctx, Results& rows) {
 void run_fig_5_1_degree_distribution(Context& ctx, Results& rows) {
   for (const std::string& profile : ctx.profiles()) {
     const Stopwatch watch;
-    eval::print_degree_distribution(profile, ctx.config().scale, std::cout);
+    const topo::AsGraph graph =
+        topo::generate(topo::profile(profile, ctx.config().scale));
+    eval::print_degree_distribution(profile, graph, std::cout);
     rows.add(profile + ".elapsed", watch.ms(), "ms");
     std::cout << "\n";
-    add_graph_rows(rows, ctx, profile);
+    add_memory_rows(rows, profile, graph);
   }
 }
 

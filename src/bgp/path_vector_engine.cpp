@@ -55,28 +55,11 @@ std::optional<Route> PathVectorEngine::select(NodeId node) const {
   return chosen;
 }
 
-void PathVectorEngine::trace_change(NodeId node,
-                                    const std::optional<Route>& next) {
-  if (trace_ == nullptr) return;
-  if (next) {
-    trace_->record({activations_, obs::EventType::BgpRouteSelected, node,
-                    destination_, 0, 0,
-                    static_cast<std::int64_t>(next->path.size()), ""});
-  } else {
-    trace_->record(
-        {activations_, obs::EventType::BgpRouteWithdrawn, node, destination_});
-  }
-}
-
 bool PathVectorEngine::activate(NodeId node) {
-  ++activations_;
   std::optional<Route> next = select(node);
   const bool changed = !(next.has_value() == best_[node].has_value() &&
                          (!next || next->path == best_[node]->path));
-  if (changed) {
-    trace_change(node, next);
-    best_[node] = std::move(next);
-  }
+  if (changed) best_[node] = std::move(next);
   return changed;
 }
 
@@ -99,15 +82,11 @@ bool PathVectorEngine::step_synchronous() {
   std::vector<std::optional<Route>> next(best_.size());
   for (NodeId node = 0; node < graph_->node_count(); ++node)
     next[node] = select(node);
-  ++activations_;  // one synchronous step = one trace timestamp
   bool changed = false;
   for (NodeId node = 0; node < graph_->node_count(); ++node) {
     const bool same = next[node].has_value() == best_[node].has_value() &&
                       (!next[node] || next[node]->path == best_[node]->path);
-    if (!same) {
-      changed = true;
-      trace_change(node, next[node]);
-    }
+    if (!same) changed = true;
   }
   best_ = std::move(next);
   return changed;

@@ -17,7 +17,6 @@
 
 #include "bgp/route.hpp"
 #include "common/rng.hpp"
-#include "obs/trace.hpp"
 
 namespace miro::bgp {
 
@@ -74,24 +73,13 @@ class PathVectorEngine {
   NodeId destination() const { return destination_; }
   const AsGraph& graph() const { return *graph_; }
 
-  /// Attaches (or clears, with nullptr) a trace recorder observing update
-  /// propagation: every selection change is recorded as BgpRouteSelected
-  /// (value = AS-path length) or BgpRouteWithdrawn. The engine has no
-  /// simulated clock, so events are stamped with the activation count.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-  /// Total activations performed (the trace timestamp domain).
-  std::uint64_t activations() const { return activations_; }
-
  private:
   std::optional<Route> select(NodeId node) const;
-  void trace_change(NodeId node, const std::optional<Route>& next);
 
   const AsGraph* graph_;
   NodeId destination_;
   PolicyHooks hooks_;
   std::vector<std::optional<Route>> best_;
-  obs::TraceRecorder* trace_ = nullptr;
-  std::uint64_t activations_ = 0;
 };
 
 }  // namespace miro::bgp

@@ -4,10 +4,6 @@ namespace miro::core {
 
 bool TunnelMonitor::unwatch(NodeId responder, TunnelId id) {
   const auto before = watched_.size();
-  for (const WatchedTunnel& t : watched_) {
-    if (t.responder == responder && t.id == id)
-      trace(obs::EventType::TunnelUnwatched, t, "teardown");
-  }
   watched_.erase(std::remove_if(watched_.begin(), watched_.end(),
                                 [&](const WatchedTunnel& t) {
                                   return t.responder == responder &&
@@ -26,18 +22,16 @@ std::optional<TunnelMonitor::WatchedTunnel> TunnelMonitor::on_tunnel_lost(
   if (it == watched_.end()) return std::nullopt;
   WatchedTunnel lost = std::move(*it);
   watched_.erase(it);
-  trace(obs::EventType::TunnelUnwatched, lost, "tunnel_lost");
   return lost;
 }
 
 template <typename Predicate>
 std::vector<TunnelMonitor::WatchedTunnel> TunnelMonitor::tear_down_if(
-    Predicate&& dead, const char* reason) {
+    Predicate&& dead) {
   std::vector<WatchedTunnel> torn;
   auto it = watched_.begin();
   while (it != watched_.end()) {
     if (dead(*it)) {
-      trace(obs::EventType::TunnelInvalidated, *it, reason);
       torn.push_back(std::move(*it));
       it = watched_.erase(it);
     } else {
@@ -59,7 +53,7 @@ std::vector<TunnelMonitor::WatchedTunnel> TunnelMonitor::on_carrier_change(
             new_path->end())
       return true;  // "the path to B now traverses through E"
     return false;
-  }, "carrier_change");
+  });
 }
 
 std::vector<TunnelMonitor::WatchedTunnel> TunnelMonitor::on_downstream_change(
@@ -83,7 +77,7 @@ std::vector<TunnelMonitor::WatchedTunnel> TunnelMonitor::on_downstream_change(
       return *new_path != expected;
     }
     return false;
-  }, "downstream_change");
+  });
 }
 
 }  // namespace miro::core

@@ -13,12 +13,10 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "core/tunnel.hpp"
-#include "obs/trace.hpp"
 
 namespace miro::core {
 
@@ -40,10 +38,7 @@ class TunnelMonitor {
     bool strict_binding = false;
   };
 
-  void watch(WatchedTunnel tunnel) {
-    trace(obs::EventType::TunnelWatched, tunnel, "");
-    watched_.push_back(std::move(tunnel));
-  }
+  void watch(WatchedTunnel tunnel) { watched_.push_back(std::move(tunnel)); }
 
   /// Stops watching (e.g., after an active teardown). Returns true when the
   /// tunnel was watched.
@@ -76,32 +71,11 @@ class TunnelMonitor {
       NodeId hop, NodeId destination,
       const std::optional<std::vector<NodeId>>& new_path);
 
-  /// Attaches (or clears, with nullptr) a trace recorder observing
-  /// watch/unwatch and route-change invalidations. The monitor has no time
-  /// source of its own, so an optional `clock` (typically
-  /// `[&s]{ return s.now(); }` over the simulation scheduler) stamps the
-  /// events; without one they carry time 0.
-  void set_trace(obs::TraceRecorder* trace,
-                 std::function<obs::Time()> clock = {}) {
-    trace_ = trace;
-    clock_ = std::move(clock);
-  }
-
  private:
   template <typename Predicate>
-  std::vector<WatchedTunnel> tear_down_if(Predicate&& dead,
-                                          const char* reason);
-
-  void trace(obs::EventType type, const WatchedTunnel& tunnel,
-             const char* detail) {
-    if (trace_ == nullptr) return;
-    trace_->record({clock_ ? clock_() : 0, type, tunnel.upstream,
-                    tunnel.responder, 0, tunnel.id, 0, detail});
-  }
+  std::vector<WatchedTunnel> tear_down_if(Predicate&& dead);
 
   std::vector<WatchedTunnel> watched_;
-  obs::TraceRecorder* trace_ = nullptr;
-  std::function<obs::Time()> clock_;
 };
 
 }  // namespace miro::core

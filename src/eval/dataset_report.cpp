@@ -1,25 +1,27 @@
 #include "eval/dataset_report.hpp"
 
 #include <ostream>
+#include <utility>
 
+#include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "topology/generator.hpp"
 
 namespace miro::eval {
 
-void print_dataset_table(const std::vector<std::string>& profiles,
+void print_dataset_table(const std::vector<std::string>& names,
+                         const std::vector<topo::AsGraph>& graphs,
                          double scale, std::ostream& out) {
+  require(names.size() == graphs.size(),
+          "print_dataset_table: one name per graph");
   out << "Table 5.1 — attributes of the (synthetic) data sets, scale="
       << scale << "\n";
   TextTable table({"Name", "# of Nodes", "# of Edges", "P/C links",
                    "Peering links", "Sibling links", "Stubs",
                    "Multi-homed stubs"});
-  for (const std::string& profile : profiles) {
-    const topo::AsGraph graph =
-        topo::generate(topo::profile(profile, scale));
-    const topo::TopologySummary summary = topo::summarize(graph);
-    table.add_row({profile, std::to_string(summary.nodes),
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const topo::TopologySummary summary = topo::summarize(graphs[i]);
+    table.add_row({names[i], std::to_string(summary.nodes),
                    std::to_string(summary.edges),
                    std::to_string(summary.customer_provider_links),
                    std::to_string(summary.peer_links),
@@ -30,10 +32,9 @@ void print_dataset_table(const std::vector<std::string>& profiles,
   table.print(out);
 }
 
-void print_degree_distribution(const std::string& profile, double scale,
-                               std::ostream& out) {
-  const topo::AsGraph graph = topo::generate(topo::profile(profile, scale));
-  out << "Figure 5.1 — node degree distribution [" << profile
+void print_degree_distribution(const std::string& name,
+                               const topo::AsGraph& graph, std::ostream& out) {
+  out << "Figure 5.1 — node degree distribution [" << name
       << ", n=" << graph.node_count() << "]\n";
 
   std::vector<double> degrees;
@@ -45,10 +46,13 @@ void print_degree_distribution(const std::string& profile, double scale,
   const auto buckets = log2_histogram(degrees);
   for (const auto& bucket : buckets) {
     if (bucket.count == 0) continue;
+    std::string range = "[";
+    range += TextTable::num(bucket.lower, 0);
+    range += ", ";
+    range += TextTable::num(bucket.upper, 0);
+    range += ")";
     table.add_row(
-        {"[" + TextTable::num(bucket.lower, 0) + ", " +
-             TextTable::num(bucket.upper, 0) + ")",
-         std::to_string(bucket.count),
+        {std::move(range), std::to_string(bucket.count),
          TextTable::percent(static_cast<double>(bucket.count) /
                             static_cast<double>(graph.node_count()))});
   }

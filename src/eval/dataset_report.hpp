@@ -10,14 +10,16 @@
 
 namespace miro::eval {
 
-/// Table 5.1 analog: one row per profile.
-void print_dataset_table(const std::vector<std::string>& profiles,
+/// Table 5.1 analog: one row per graph, named by the matching entry of
+/// `names` (the profile each graph was generated from at `scale`).
+void print_dataset_table(const std::vector<std::string>& names,
+                         const std::vector<topo::AsGraph>& graphs,
                          double scale, std::ostream& out);
 
-/// Figure 5.1 analog: log2-bucketed degree CCDF for one profile, plus the
+/// Figure 5.1 analog: log2-bucketed degree CCDF for one graph, plus the
 /// high-degree fractions the dissertation quotes (0.2% with > 200 neighbors
 /// scaled to graph size).
-void print_degree_distribution(const std::string& profile, double scale,
-                               std::ostream& out);
+void print_degree_distribution(const std::string& name,
+                               const topo::AsGraph& graph, std::ostream& out);
 
 }  // namespace miro::eval

@@ -40,9 +40,15 @@ std::string Packet::to_string() const {
   std::string out;
   for (std::size_t i = headers_.size(); i-- > 0;) {
     const IpHeader& h = headers_[i];
-    out += "[" + h.source.to_string() + " -> " + h.destination.to_string();
-    if (h.tunnel_id) out += " tid=" + std::to_string(*h.tunnel_id);
-    out += "]";
+    out += '[';
+    out += h.source.to_string();
+    out += " -> ";
+    out += h.destination.to_string();
+    if (h.tunnel_id) {
+      out += " tid=";
+      out += std::to_string(*h.tunnel_id);
+    }
+    out += ']';
   }
   return out;
 }

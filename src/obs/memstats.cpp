@@ -13,7 +13,6 @@ namespace miro::obs {
 
 namespace {
 
-MemoryRegistry* g_memory = nullptr;            ///< set_memory's registry
 thread_local MemoryRegistry* t_memory = nullptr;  ///< what memory() sees
 
 /// Current resident set in bytes from /proc/self/status (VmRSS line), or 0
@@ -77,7 +76,6 @@ std::string human_bytes(std::uint64_t bytes) {
 MemoryRegistry* memory() { return t_memory; }
 
 void set_memory(MemoryRegistry* registry) {
-  g_memory = registry;
   t_memory = registry;
 }
 

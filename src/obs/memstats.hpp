@@ -28,10 +28,10 @@
 // surfaced in text tables and metrics gauges but deliberately kept out of
 // bench result rows gated by the bit-identical determinism contract.
 //
-// Attachment is process-wide through obs::memory()/obs::set_memory(),
-// resolved through a thread-local slot exactly like obs::profile(): worker
-// threads of the parallel layer see null, so sampling and account mutation
-// stay single-threaded on the attaching thread.
+// Attachment goes through obs::memory()/obs::set_memory(), a thread-local
+// slot like obs::profile()'s: worker threads of the parallel layer see
+// null, so sampling and account mutation stay single-threaded on the
+// attaching thread.
 #pragma once
 
 #include <cstdint>

@@ -26,9 +26,6 @@ const char* to_string(EventType type) {
     case EventType::TunnelTeardownSent: return "teardown_sent";
     case EventType::TunnelTornDown: return "tunnel_torn_down";
     case EventType::RenegotiationScheduled: return "renegotiation_scheduled";
-    case EventType::TunnelWatched: return "tunnel_watched";
-    case EventType::TunnelUnwatched: return "tunnel_unwatched";
-    case EventType::TunnelInvalidated: return "tunnel_invalidated";
     case EventType::BusSend: return "bus_send";
     case EventType::BusDeliver: return "bus_deliver";
     case EventType::BusDrop: return "bus_drop";
@@ -36,8 +33,6 @@ const char* to_string(EventType type) {
     case EventType::TimerScheduled: return "timer_scheduled";
     case EventType::TimerFired: return "timer_fired";
     case EventType::TimerCancelled: return "timer_cancelled";
-    case EventType::BgpRouteSelected: return "bgp_route_selected";
-    case EventType::BgpRouteWithdrawn: return "bgp_route_withdrawn";
     case EventType::RibRootCause: return "rib_root_cause";
     case EventType::RibAnnounce: return "rib_announce";
     case EventType::RibImplicitWithdraw: return "rib_implicit_withdraw";

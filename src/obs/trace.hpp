@@ -6,8 +6,8 @@
 // tables) are likewise per-event measurements. This layer records typed,
 // sim-timestamped events — negotiation phase transitions, retransmissions,
 // tunnel mint/confirm/teardown/failover, keep-alive loss, bus
-// send/deliver/drop with reason, BGP selection changes, scheduler timer
-// fire/cancel — into a fixed-capacity ring buffer with pluggable sinks.
+// send/deliver/drop with reason, scheduler timer fire/cancel, rendered RIB
+// events — into a fixed-capacity ring buffer with pluggable sinks.
 //
 // Zero cost when disabled: every instrumented component holds a nullable
 // `TraceRecorder*` (null by default) and guards each emission with a single
@@ -47,10 +47,6 @@ enum class EventType : std::uint8_t {
   TunnelTeardownSent,     ///< active teardown issued; value = attempt
   TunnelTornDown,         ///< downstream processed a teardown
   RenegotiationScheduled, ///< hold-down re-request queued; value = delay
-  // ---- route-change tunnel monitoring (core/tunnel_monitor) ----
-  TunnelWatched,
-  TunnelUnwatched,
-  TunnelInvalidated,      ///< a route change killed the tunnel; detail = why
   // ---- message bus (netsim/message_bus) ----
   BusSend,
   BusDeliver,
@@ -60,9 +56,6 @@ enum class EventType : std::uint8_t {
   TimerScheduled,         ///< value = absolute fire time
   TimerFired,
   TimerCancelled,         ///< observed when the cancelled event is popped
-  // ---- BGP update propagation (bgp/path_vector_engine) ----
-  BgpRouteSelected,       ///< value = AS-path length
-  BgpRouteWithdrawn,
   // ---- RIB monitoring (obs/ribmon over bgp/session_bgp) ----
   // Rendered forms of RibEventRecord for the Chrome-trace per-AS instant
   // tracks; `value` carries the record id so a track entry cross-references

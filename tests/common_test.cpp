@@ -14,7 +14,6 @@
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "common/union_find.hpp"
 
 namespace miro {
 namespace {
@@ -225,17 +224,6 @@ TEST(Table, CsvQuotesSpecialCells) {
   EXPECT_NE(out.str().find("\"has,comma\""), std::string::npos);
 }
 
-TEST(UnionFind, UniteAndFind) {
-  UnionFind uf(6);
-  EXPECT_TRUE(uf.unite(0, 1));
-  EXPECT_TRUE(uf.unite(1, 2));
-  EXPECT_FALSE(uf.unite(0, 2));  // already joined
-  EXPECT_TRUE(uf.same(0, 2));
-  EXPECT_FALSE(uf.same(0, 3));
-  EXPECT_EQ(uf.set_size(2), 3u);
-  EXPECT_EQ(uf.set_size(5), 1u);
-}
-
 TEST(Summary, EmptyThrowsOnEveryQuery) {
   Summary s;
   EXPECT_THROW(s.percentile(0), Error);
@@ -297,6 +285,14 @@ TEST(Hash, Fnv1aMatchesKnownVector) {
   // FNV-1a("") is the offset basis; "a" is a published test vector.
   EXPECT_EQ(fnv1a(""), kFnvOffset);
   EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+}
+
+TEST(Hash, Fnv1aChainsThroughTheSeed) {
+  // Hashing in pieces equals hashing the whole: callers fold fields in one
+  // at a time. "foobar" is a published FNV-1a 64-bit test vector.
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+  static_assert(fnv1a("ab") == fnv1a("b", fnv1a("a")));
 }
 
 TEST(Hash, CombineIsOrderSensitive) {

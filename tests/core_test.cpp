@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/alternates.hpp"
 #include "core/export_policy.hpp"
 #include "core/protocol.hpp"
@@ -267,6 +270,37 @@ TEST(TunnelTable, SoftStateExpiry) {
   EXPECT_EQ(expired[0], stale);
   EXPECT_EQ(table.active_count(), 1u);
   EXPECT_FALSE(table.heartbeat(stale, 1300));
+}
+
+TEST(TunnelTable, ExpiresExactlyWhenTheTimeoutElapses) {
+  TunnelTable table;
+  Route route{{1, 2}, RouteClass::Customer};
+  const auto id = table.create(1, route, 0, /*now=*/100);
+  EXPECT_TRUE(table.expire(/*now=*/599, /*timeout=*/500).empty());
+  EXPECT_EQ(table.active_count(), 1u);
+  const auto expired = table.expire(/*now=*/600, /*timeout=*/500);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0], id);
+  EXPECT_EQ(table.find(id), nullptr);
+}
+
+TEST(TunnelTable, ForEachVisitsEveryActiveRecord) {
+  TunnelTable table;
+  Route route{{1, 2}, RouteClass::Customer};
+  table.create(/*remote_as=*/11, route, 5, 0);
+  const auto removed = table.create(12, route, 6, 0);
+  table.create(13, route, 7, 0);
+  ASSERT_TRUE(table.remove(removed));
+  std::vector<NodeId> remotes;
+  int total_cost = 0;
+  table.for_each([&](const TunnelRecord& record) {
+    remotes.push_back(record.remote_as);
+    total_cost += record.cost;
+    EXPECT_EQ(record.bound_route.path, route.path);
+  });
+  std::sort(remotes.begin(), remotes.end());
+  EXPECT_EQ(remotes, (std::vector<NodeId>{11, 13}));
+  EXPECT_EQ(total_cost, 12);
 }
 
 // ---------------------------------------------------------------- protocol

@@ -78,6 +78,30 @@ TEST(Classifier, NoMatchReturnsNull) {
             nullptr);
 }
 
+TEST(Classifier, PrefixRulesSelectByOriginalAddresses) {
+  // Rules look at the innermost header: wrapping a packet in a tunnel
+  // header does not change how it classifies.
+  Classifier<int> classifier;
+  MatchRule from_ten;
+  from_ten.source_prefix = Prefix(Ipv4Address(10, 0, 0, 0), 8);
+  MatchRule to_six;
+  to_six.destination_prefix = Prefix(Ipv4Address(6, 0, 0, 0), 8);
+  classifier.add_rule(from_ten, 1);
+  classifier.add_rule(to_six, 2);
+  EXPECT_EQ(classifier.rule_count(), 2u);
+
+  Packet both(Ipv4Address(10, 1, 2, 3), Ipv4Address(6, 0, 0, 1));
+  ASSERT_NE(classifier.classify(both), nullptr);
+  EXPECT_EQ(*classifier.classify(both), 1);
+  Packet to_six_only(Ipv4Address(11, 0, 0, 1), Ipv4Address(6, 0, 0, 1));
+  to_six_only.encapsulate(Ipv4Address(10, 0, 0, 1), Ipv4Address(7, 0, 0, 1),
+                          4);
+  ASSERT_NE(classifier.classify(to_six_only), nullptr);
+  EXPECT_EQ(*classifier.classify(to_six_only), 2);
+  const Packet neither(Ipv4Address(11, 0, 0, 1), Ipv4Address(7, 0, 0, 1));
+  EXPECT_EQ(classifier.classify(neither), nullptr);
+}
+
 TEST(FlowSplitter, FlowsStickToOnePath) {
   FlowSplitter splitter({1, 1});
   net::FlowLabel flow{1234, 80, 6, 0};
@@ -98,6 +122,30 @@ TEST(FlowSplitter, WeightsApproximateSplit) {
   const double share =
       static_cast<double>(counts[0]) / (counts[0] + counts[1]);
   EXPECT_NEAR(share, 0.75, 0.04);
+}
+
+TEST(FlowSplitter, ZeroWeightPathIsNeverChosen) {
+  FlowSplitter splitter({1, 0, 1});
+  EXPECT_EQ(splitter.path_count(), 3u);
+  std::size_t counts[3] = {0, 0, 0};
+  for (std::uint16_t port = 0; port < 1000; ++port) {
+    net::FlowLabel flow{port, 443, 6, 0};
+    ++counts[splitter.path_for(
+        Packet(Ipv4Address(1, 2, 3, 4), Ipv4Address(5, 6, 7, 8), flow))];
+  }
+  EXPECT_EQ(counts[1], 0u);
+  EXPECT_GT(counts[0], 0u);
+  EXPECT_GT(counts[2], 0u);
+}
+
+TEST(FlowSplitter, SinglePathTakesEveryFlow) {
+  FlowSplitter splitter({0.25});
+  EXPECT_EQ(splitter.path_count(), 1u);
+  for (std::uint16_t port = 0; port < 200; ++port) {
+    net::FlowLabel flow{port, 80, 17, 0};
+    EXPECT_EQ(splitter.path_for(Packet(Ipv4Address(9), Ipv4Address(10), flow)),
+              0u);
+  }
 }
 
 TEST(FlowSplitter, RejectsDegenerateWeights) {

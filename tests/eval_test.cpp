@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/error.hpp"
 #include "eval/avoid_as.hpp"
 #include "eval/dataset_report.hpp"
 #include "eval/experiments.hpp"
 #include "eval/path_diversity.hpp"
 #include "eval/traffic_control.hpp"
+#include "scenarios.hpp"
+#include "topology/generator.hpp"
 
 namespace miro::eval {
 namespace {
@@ -202,11 +207,122 @@ TEST(TrafficControl, PrintsFigures) {
 }
 
 TEST(DatasetReport, PrintsTableAndDistribution) {
+  const std::vector<topo::AsGraph> graphs{
+      topo::generate(topo::profile("tiny", 1.0))};
   std::ostringstream out;
-  print_dataset_table({"tiny"}, 1.0, out);
-  print_degree_distribution("tiny", 1.0, out);
+  print_dataset_table({"tiny"}, graphs, 1.0, out);
+  print_degree_distribution("tiny", graphs.front(), out);
   EXPECT_NE(out.str().find("Peering links"), std::string::npos);
   EXPECT_NE(out.str().find("degree bucket"), std::string::npos);
+  EXPECT_NE(out.str().find("[tiny, n="), std::string::npos);
+  // One name per graph, or the table would read past one of them.
+  EXPECT_THROW(print_dataset_table({"tiny", "gao2005"}, graphs, 1.0, out),
+               Error);
+}
+
+// The trimmed cells of every printed table row whose first cell is `key`.
+std::vector<std::vector<std::string>> rows_keyed(const std::string& text,
+                                                 const std::string& key) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line.front() != '|') continue;
+    std::vector<std::string> cells;
+    std::istringstream fields(line.substr(1));
+    std::string cell;
+    while (std::getline(fields, cell, '|')) {
+      const auto first = cell.find_first_not_of(' ');
+      const auto last = cell.find_last_not_of(' ');
+      cells.push_back(first == std::string::npos
+                          ? std::string()
+                          : cell.substr(first, last - first + 1));
+    }
+    if (!cells.empty() && cells.front() == key) rows.push_back(cells);
+  }
+  return rows;
+}
+
+TEST(DatasetReport, TableRowCountsTheFigure31Graph) {
+  // Six ASes, eight links: six customer-provider, two peering, no sibling;
+  // A and F are the stubs, and each has two providers.
+  const test::Figure31Topology fig;
+  std::ostringstream out;
+  print_dataset_table({"fig31"}, {fig.graph}, 0.5, out);
+  EXPECT_NE(out.str().find("scale=0.5"), std::string::npos);
+  const auto rows = rows_keyed(out.str(), "fig31");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"fig31", "6", "8", "6", "2",
+                                                "0", "2", "2"}));
+}
+
+TEST(DatasetReport, RowsFollowTheGraphsInOrder) {
+  topo::AsGraph pair;
+  const topo::NodeId first = pair.add_as(1);
+  const topo::NodeId second = pair.add_as(2);
+  pair.add_sibling(first, second);
+  const std::vector<topo::AsGraph> graphs{pair,
+                                          test::Figure31Topology().graph};
+  std::ostringstream out;
+  print_dataset_table({"zeta", "alpha"}, graphs, 1.0, out);
+  const std::string text = out.str();
+  ASSERT_LT(text.find("| zeta"), text.find("| alpha"));
+  const auto zeta = rows_keyed(text, "zeta");
+  ASSERT_EQ(zeta.size(), 1u);
+  EXPECT_EQ(zeta[0][1], "2");  // nodes
+  EXPECT_EQ(zeta[0][2], "1");  // edges
+  EXPECT_EQ(zeta[0][5], "1");  // sibling links
+  ASSERT_EQ(rows_keyed(text, "alpha").size(), 1u);
+  EXPECT_EQ(rows_keyed(text, "alpha")[0][1], "6");
+}
+
+TEST(DatasetReport, NoGraphsPrintsTheHeaderOnly) {
+  std::ostringstream out;
+  print_dataset_table({}, {}, 1.0, out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("| Name"), std::string::npos);
+  EXPECT_NE(text.find("Multi-homed stubs"), std::string::npos);
+  std::size_t lines = 0;
+  for (char c : text) lines += c == '\n';
+  EXPECT_EQ(lines, 3u);  // title, header, rule
+}
+
+TEST(DatasetReport, DegreeBucketsCountEveryNode) {
+  // Figure 3.1 degrees: A=2, B=3, C=3, D=2, E=4, F=2.
+  const test::Figure31Topology fig;
+  std::ostringstream out;
+  print_degree_distribution("fig31", fig.graph, out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("[fig31, n=6]"), std::string::npos);
+  EXPECT_TRUE(rows_keyed(text, "[1, 2)").empty());  // empty buckets skipped
+  const auto low = rows_keyed(text, "[2, 4)");
+  const auto high = rows_keyed(text, "[4, 8)");
+  ASSERT_EQ(low.size(), 1u);
+  ASSERT_EQ(high.size(), 1u);
+  EXPECT_EQ(low[0], (std::vector<std::string>{"[2, 4)", "5", "83.3%"}));
+  EXPECT_EQ(high[0], (std::vector<std::string>{"[4, 8)", "1", "16.7%"}));
+  EXPECT_NE(text.find("fraction with degree > 40: 0.00%, degree > 200: 0.00%"),
+            std::string::npos);
+}
+
+TEST(DatasetReport, HighDegreeCutsCountTheHub) {
+  // A provider with 41 customers: 1 of 42 ASes has degree above 40.
+  topo::AsGraph star;
+  const topo::NodeId hub = star.add_as(1);
+  for (topo::AsNumber asn = 2; asn <= 42; ++asn)
+    star.add_customer_provider(hub, star.add_as(asn));
+  std::ostringstream out;
+  print_degree_distribution("star", star, out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("[star, n=42]"), std::string::npos);
+  const auto leaves = rows_keyed(text, "[1, 2)");
+  ASSERT_EQ(leaves.size(), 1u);
+  EXPECT_EQ(leaves[0][1], "41");
+  const auto hub_row = rows_keyed(text, "[32, 64)");
+  ASSERT_EQ(hub_row.size(), 1u);
+  EXPECT_EQ(hub_row[0][1], "1");
+  EXPECT_NE(text.find("fraction with degree > 40: 2.38%, degree > 200: 0.00%"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -195,6 +196,27 @@ TEST(MemoryRegistryTest, TextTableAndMetricsExport) {
   registry.reset();
   EXPECT_EQ(registry.tracked_bytes(), 0u);
   EXPECT_TRUE(registry.accounts().empty());
+}
+
+TEST(MemoryRegistryTest, AttachmentIsPerThread) {
+  // set_memory() fills the calling thread's slot only: another thread sees
+  // no registry until it attaches its own.
+  MemoryRegistry registry;
+  obs::set_memory(&registry);
+  EXPECT_EQ(obs::memory(), &registry);
+  MemoryRegistry* seen_by_other = &registry;
+  MemoryRegistry other;
+  MemoryRegistry* attached_by_other = nullptr;
+  std::thread([&] {
+    seen_by_other = obs::memory();
+    obs::set_memory(&other);
+    attached_by_other = obs::memory();
+  }).join();
+  EXPECT_EQ(seen_by_other, nullptr);
+  EXPECT_EQ(attached_by_other, &other);
+  EXPECT_EQ(obs::memory(), &registry);
+  obs::set_memory(nullptr);
+  EXPECT_EQ(obs::memory(), nullptr);
 }
 
 TEST(MemoryRegistryTest, RssSamplerReadsTheProcess) {

@@ -237,6 +237,29 @@ TEST(Packet, RewriteOuterDestination) {
   EXPECT_EQ(packet.inner().destination, Ipv4Address(2));
 }
 
+TEST(Packet, ToStringOfABarePacketIsItsOwnHeader) {
+  const Packet packet(Ipv4Address(1, 0, 0, 1), Ipv4Address(6, 0, 0, 1));
+  EXPECT_EQ(packet.to_string(), "[1.0.0.1 -> 6.0.0.1]");
+}
+
+TEST(Packet, ToStringListsTheOutermostHeaderFirst) {
+  Packet packet(Ipv4Address(1, 0, 0, 1), Ipv4Address(6, 0, 0, 1));
+  packet.encapsulate(Ipv4Address(1, 0, 0, 1), Ipv4Address(2, 0, 0, 1), 7);
+  packet.encapsulate(Ipv4Address(2, 0, 0, 9), Ipv4Address(3, 0, 0, 1), 12);
+  EXPECT_EQ(packet.to_string(),
+            "[2.0.0.9 -> 3.0.0.1 tid=12][1.0.0.1 -> 2.0.0.1 tid=7]"
+            "[1.0.0.1 -> 6.0.0.1]");
+  packet.decapsulate();
+  EXPECT_EQ(packet.to_string(),
+            "[1.0.0.1 -> 2.0.0.1 tid=7][1.0.0.1 -> 6.0.0.1]");
+}
+
+TEST(Packet, ToStringOmitsTheTunnelIdOfAnUntaggedHeader) {
+  Packet packet(Ipv4Address(1, 0, 0, 1), Ipv4Address(6, 0, 0, 1));
+  packet.encapsulate(Ipv4Address(1, 0, 0, 1), Ipv4Address(2, 0, 0, 1));
+  EXPECT_EQ(packet.to_string(), "[1.0.0.1 -> 2.0.0.1][1.0.0.1 -> 6.0.0.1]");
+}
+
 TEST(Packet, FlowHashIgnoresEncapsulation) {
   FlowLabel flow{1234, 80, 6, 0};
   Packet bare(Ipv4Address(1), Ipv4Address(2), flow);

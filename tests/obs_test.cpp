@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -21,6 +22,22 @@ TraceEvent event_at(Time t, EventType type, std::uint64_t negotiation = 0) {
   event.actor = 1;
   event.negotiation = negotiation;
   return event;
+}
+
+TEST(TraceEventType, EveryTypeHasADistinctExporterName) {
+  // The exporters key on these names; two types sharing one, or a type
+  // falling through to a placeholder, would merge unrelated tracks.
+  std::set<std::string> names;
+  const auto last = static_cast<int>(EventType::RibBestChanged);
+  for (int i = 0; i <= last; ++i) {
+    const std::string name = to_string(static_cast<EventType>(i));
+    EXPECT_FALSE(name.empty()) << "type " << i;
+    EXPECT_EQ(name.find_first_not_of("abcdefghijklmnopqrstuvwxyz_"),
+              std::string::npos)
+        << name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(last) + 1);
 }
 
 TEST(TraceRecorder, KeepsEventsInOrder) {

@@ -491,5 +491,79 @@ TEST(TunnelMonitor, UnrelatedChangesAreIgnored) {
   EXPECT_EQ(monitor.watched_count(), 1u);
 }
 
+TEST(TunnelMonitor, UnwatchNeedsBothResponderAndId) {
+  TunnelMonitor monitor;
+  monitor.watch({5, 10, 20, 30, {20, 25, 30}, std::nullopt, false});
+  EXPECT_FALSE(monitor.unwatch(/*responder=*/21, 5));
+  EXPECT_FALSE(monitor.unwatch(20, /*id=*/6));
+  EXPECT_FALSE(monitor.on_tunnel_lost(21, 5).has_value());
+  EXPECT_EQ(monitor.watched_count(), 1u);
+}
+
+TEST(TunnelMonitor, LooseBindingSurvivesDeviationsThatAvoidTheAs) {
+  TunnelMonitor monitor;
+  monitor.watch({8, 10, 20, 30, {20, 25, 30}, topo::NodeId{99},
+                 /*strict_binding=*/false});
+  // A longer downstream route is fine as long as it stays clear of 99.
+  EXPECT_TRUE(monitor
+                  .on_downstream_change(25, 30,
+                                        std::vector<topo::NodeId>{25, 26, 30})
+                  .empty());
+  EXPECT_EQ(monitor.watched_count(), 1u);
+  const auto torn = monitor.on_downstream_change(
+      25, 30, std::vector<topo::NodeId>{25, 99, 30});
+  ASSERT_EQ(torn.size(), 1u);
+  EXPECT_EQ(torn[0].id, 8u);
+  EXPECT_EQ(monitor.watched_count(), 0u);
+}
+
+TEST(TunnelMonitor, WithdrawalTearsDownWithoutAnAvoidedAs) {
+  // Unreachability kills a tunnel even when it was negotiated with no
+  // must_avoid and loose binding, on either side of the responder.
+  TunnelMonitor monitor;
+  monitor.watch({1, 10, 20, 30, {20, 25, 30}, std::nullopt, false});
+  monitor.watch({2, 11, 21, 30, {21, 26, 30}, std::nullopt, false});
+  const auto downstream = monitor.on_downstream_change(25, 30, std::nullopt);
+  ASSERT_EQ(downstream.size(), 1u);
+  EXPECT_EQ(downstream[0].id, 1u);
+  const auto carrier = monitor.on_carrier_change(11, 21, std::nullopt);
+  ASSERT_EQ(carrier.size(), 1u);
+  EXPECT_EQ(carrier[0].id, 2u);
+  EXPECT_EQ(monitor.watched_count(), 0u);
+}
+
+TEST(TunnelMonitor, OneChangeTearsDownEveryDependentTunnelInWatchOrder) {
+  TunnelMonitor monitor;
+  monitor.watch({1, 10, 20, 30, {20, 25, 30}, std::nullopt, false});
+  monitor.watch({2, 11, 21, 30, {21, 26, 30}, std::nullopt, false});
+  monitor.watch({3, 12, 22, 30, {22, 25, 30}, std::nullopt, false});
+  const auto torn = monitor.on_downstream_change(25, 30, std::nullopt);
+  ASSERT_EQ(torn.size(), 2u);
+  EXPECT_EQ(torn[0].id, 1u);
+  EXPECT_EQ(torn[1].id, 3u);
+  ASSERT_EQ(monitor.watched().size(), 1u);
+  EXPECT_EQ(monitor.watched()[0].id, 2u);
+}
+
+TEST(TunnelMonitor, SurvivorsKeepTheirWatchOrder) {
+  TunnelMonitor monitor;
+  for (net::TunnelId id = 1; id <= 4; ++id)
+    monitor.watch({id, 10, 20, 30, {20, 25, 30}, std::nullopt, false});
+  EXPECT_TRUE(monitor.unwatch(20, 2));
+  ASSERT_TRUE(monitor.on_tunnel_lost(20, 3).has_value());
+  ASSERT_EQ(monitor.watched().size(), 2u);
+  EXPECT_EQ(monitor.watched()[0].id, 1u);
+  EXPECT_EQ(monitor.watched()[1].id, 4u);
+}
+
+TEST(TunnelMonitor, BoundPathWithoutAHopBeyondTheResponderIgnoresDownstream) {
+  // A tunnel bound at the destination itself has no downstream hop to
+  // depend on; only its carrier can kill it.
+  TunnelMonitor monitor;
+  monitor.watch({9, 10, 30, 30, {30}, std::nullopt, true});
+  EXPECT_TRUE(monitor.on_downstream_change(30, 30, std::nullopt).empty());
+  EXPECT_EQ(monitor.on_carrier_change(10, 30, std::nullopt).size(), 1u);
+}
+
 }  // namespace
 }  // namespace miro::core
