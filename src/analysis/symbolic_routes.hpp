@@ -13,7 +13,8 @@
 //     length, then lowest next-hop AS number). Because (rank, length)
 //     strictly increases along every legal export step, the Bellman-Ford
 //     style relaxation below converges to the same unique fixpoint the
-//     Dijkstra-style StableRouteSolver computes greedily, and chains that
+//     StableRouteSolver computes in one (rank, length) bucket pass (which
+//     this engine, as its oracle, shares no code with), and chains that
 //     revisit a node can never be minimal, so the least fixpoint routes are
 //     loop-free without an explicit loop check;
 //

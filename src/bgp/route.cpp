@@ -16,36 +16,6 @@ const char* to_string(RouteClass cls) {
   return "?";
 }
 
-RouteClass classify(Relationship neighbor_rel, RouteClass class_at_neighbor) {
-  switch (neighbor_rel) {
-    case Relationship::Customer:
-      return RouteClass::Customer;
-    case Relationship::Peer:
-      return RouteClass::Peer;
-    case Relationship::Provider:
-      return RouteClass::Provider;
-    case Relationship::Sibling:
-      // Transparent: keep looking past the sibling link. A chain of only
-      // sibling links back to the origin classifies as a customer route
-      // (Section 2.2.1's approximation).
-      return class_at_neighbor == RouteClass::Self ? RouteClass::Customer
-                                                   : class_at_neighbor;
-  }
-  return RouteClass::Provider;
-}
-
-bool conventional_export_allows(RouteClass cls, Relationship neighbor_rel) {
-  switch (neighbor_rel) {
-    case Relationship::Customer:
-    case Relationship::Sibling:
-      return true;
-    case Relationship::Peer:
-    case Relationship::Provider:
-      return cls == RouteClass::Self || cls == RouteClass::Customer;
-  }
-  return false;
-}
-
 bool Route::traverses(NodeId node) const {
   return std::find(path.begin(), path.end(), node) != path.end();
 }

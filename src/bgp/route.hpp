@@ -54,14 +54,36 @@ constexpr int conventional_local_pref(RouteClass cls) {
 /// neighbor. Sibling links inherit the neighbor's class ("find the first
 /// non-sibling link"); a Self route learned from a sibling counts as a
 /// customer route.
-RouteClass classify(Relationship neighbor_rel, RouteClass class_at_neighbor);
+constexpr RouteClass classify(Relationship neighbor_rel,
+                              RouteClass class_at_neighbor) {
+  switch (neighbor_rel) {
+    case Relationship::Customer: return RouteClass::Customer;
+    case Relationship::Peer: return RouteClass::Peer;
+    case Relationship::Provider: return RouteClass::Provider;
+    case Relationship::Sibling:
+      return class_at_neighbor == RouteClass::Self ? RouteClass::Customer
+                                                   : class_at_neighbor;
+  }
+  return RouteClass::Provider;
+}
 
 /// Conventional export rule: may a node whose best route has class `cls`
 /// advertise it to a neighbor that is `neighbor_rel` to the node?
 ///   - to customers: everything;
 ///   - to siblings: everything;
 ///   - to peers and providers: only Self or customer routes.
-bool conventional_export_allows(RouteClass cls, Relationship neighbor_rel);
+constexpr bool conventional_export_allows(RouteClass cls,
+                                          Relationship neighbor_rel) {
+  switch (neighbor_rel) {
+    case Relationship::Customer:
+    case Relationship::Sibling:
+      return true;
+    case Relationship::Peer:
+    case Relationship::Provider:
+      return cls == RouteClass::Self || cls == RouteClass::Customer;
+  }
+  return false;
+}
 
 /// One AS-level route: `path[0]` is the owner, `path.back()` the destination
 /// AS. The origin's own route is the single-element path {destination}.

@@ -1,7 +1,8 @@
 #include "bgp/route_solver.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <array>
+#include <limits>
 
 #include "common/error.hpp"
 #include "obs/profile.hpp"
@@ -50,30 +51,6 @@ std::size_t RoutingTree::reachable_count() const {
   return count;
 }
 
-namespace {
-
-/// Priority-queue item; ordered so that the globally most-preferred
-/// tentative route pops first. For equal (class, length) the lowest
-/// next-hop AS number wins, making the stable state deterministic.
-struct QueueItem {
-  int class_rank;
-  std::uint32_t length;
-  AsNumber next_hop_asn;
-  NodeId node;
-  NodeId next_hop;
-  RouteClass cls;
-
-  bool operator>(const QueueItem& other) const {
-    if (class_rank != other.class_rank) return class_rank > other.class_rank;
-    if (length != other.length) return length > other.length;
-    if (next_hop_asn != other.next_hop_asn)
-      return next_hop_asn > other.next_hop_asn;
-    return node > other.node;  // arbitrary stable tie-break
-  }
-};
-
-}  // namespace
-
 RoutingTree StableRouteSolver::run(NodeId destination, const PinnedRoute* pin,
                                    const OriginPrepend* prepend,
                                    NodeId exclude, Arena* arena) const {
@@ -82,46 +59,66 @@ RoutingTree StableRouteSolver::run(NodeId destination, const PinnedRoute* pin,
   require(destination < graph.node_count(),
           "StableRouteSolver: destination out of range");
   RoutingTree tree(graph, destination, arena);
+  auto& entries = tree.entries_;
 
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
-      queue;
-  queue.push({rank(RouteClass::Self), 0, graph.as_number(destination),
-              destination, destination, RouteClass::Self});
+  // An entry with a next hop but not yet reachable holds the node's best
+  // offer so far in (class rank, length, next-hop AS number) order, and the
+  // node waits in that offer's (class, length) bucket. Every export keeps or
+  // worsens the class and adds at least one hop, so draining the buckets in
+  // (rank, length) order finalizes routes in preference order, and no
+  // bucket is refilled while it drains. Bucket keys cap the prepend padding
+  // at the node count: padded routes still sort after every unpadded route
+  // of their class, and the bucket arrays stay O(V) for any `extra`.
+  const std::uint32_t extra =
+      prepend != nullptr ? prepend->extra : std::uint32_t{0};
+  const auto key_extra = static_cast<std::uint32_t>(
+      std::min<std::size_t>(extra, graph.node_count()));
+  std::array<std::vector<std::vector<NodeId>>, 4> buckets;
+  const auto enqueue = [&buckets](RouteClass cls, std::uint32_t key,
+                                  NodeId node) {
+    std::vector<std::vector<NodeId>>& by_length = buckets[rank(cls)];
+    if (key >= by_length.size()) by_length.resize(key + 1);
+    by_length[key].push_back(node);
+  };
+  entries[destination] = {destination, 0, RouteClass::Self, false};
+  enqueue(RouteClass::Self, 0, destination);
 
-  while (!queue.empty()) {
-    const QueueItem item = queue.top();
-    queue.pop();
-    if (tree.entries_[item.node].reachable) continue;  // already finalized
-    if (pin != nullptr && item.node == pin->node &&
-        item.next_hop != pin->forced_next_hop) {
-      continue;  // the pinned AS may only use its negotiated next hop
-    }
-    RoutingTree::Entry& entry = tree.entries_[item.node];
-    entry.reachable = true;
-    entry.next_hop = item.next_hop;
-    entry.length = item.length;
-    entry.cls = item.cls;
-
-    // Export the newly finalized route to every neighbor the conventional
-    // policy permits; the neighbor classifies it by the link it arrives on.
-    for (const topo::Neighbor& n : graph.neighbors(item.node)) {
-      if (n.node == exclude) continue;  // the excised AS never selects
-      if (tree.entries_[n.node].reachable) continue;
-      // n.rel: what the neighbor is *to item.node* — exactly the argument
-      // the export rule takes.
-      if (!conventional_export_allows(item.cls, n.rel)) continue;
-      // At the receiving side, item.node is reverse(n.rel) to the neighbor.
-      const RouteClass cls_at_neighbor =
-          classify(topo::reverse(n.rel), item.cls);
-      // Origin prepending pads the advertised path toward one neighbor.
-      const std::uint32_t padding =
-          (prepend != nullptr && item.node == destination &&
-           n.node == prepend->neighbor)
-              ? prepend->extra
-              : 0;
-      queue.push({rank(cls_at_neighbor), item.length + 1 + padding,
-                  graph.as_number(item.node), n.node, item.node,
-                  cls_at_neighbor});
+  for (std::vector<std::vector<NodeId>>& by_length : buckets) {
+    for (std::uint32_t key = 0; key < by_length.size(); ++key) {
+      const std::vector<NodeId> bucket = std::move(by_length[key]);
+      for (const NodeId node : bucket) {
+        RoutingTree::Entry& entry = entries[node];
+        if (entry.reachable) continue;  // a stale or repeated bucket entry
+        entry.reachable = true;
+        const AsNumber asn = graph.as_number(node);
+        // Export the finalized route to every neighbor the conventional
+        // policy permits; the neighbor classifies it by the link it arrives
+        // on. n.rel is what the neighbor is *to node* — exactly the argument
+        // the export rule takes.
+        for (const topo::Neighbor& n : graph.neighbors(node)) {
+          if (!conventional_export_allows(entry.cls, n.rel)) continue;
+          if (n.node == exclude) continue;  // the excised AS never selects
+          RoutingTree::Entry& offer = entries[n.node];
+          if (offer.reachable) continue;
+          if (pin != nullptr && n.node == pin->node &&
+              node != pin->forced_next_hop)
+            continue;  // the pinned AS may only use its negotiated next hop
+          const RouteClass cls = classify(topo::reverse(n.rel), entry.cls);
+          // Origin prepending pads the advertised path toward one neighbor.
+          const bool padded = prepend != nullptr && node == destination &&
+                              n.node == prepend->neighbor;
+          const std::uint32_t length = entry.length + 1 + (padded ? extra : 0);
+          // Keep the tentative offer unless this one is strictly better.
+          if (offer.next_hop != topo::kInvalidNode &&
+              (offer.cls != cls ? rank(offer.cls) < rank(cls)
+               : offer.length != length
+                   ? offer.length < length
+                   : graph.as_number(offer.next_hop) < asn))
+            continue;
+          offer = {node, length, cls, false};
+          enqueue(cls, key + 1 + (padded ? key_extra : 0), n.node);
+        }
+      }
     }
   }
   return tree;
@@ -145,6 +142,10 @@ RoutingTree StableRouteSolver::solve_prepended(
     NodeId destination, const OriginPrepend& prepend) const {
   require(graph_->has_edge(destination, prepend.neighbor),
           "solve_prepended: prepend neighbor is not adjacent");
+  // Path lengths are 32-bit: a simple path plus the padding must fit.
+  require(prepend.extra <=
+              std::numeric_limits<std::uint32_t>::max() - graph_->node_count(),
+          "solve_prepended: padding overflows the path length");
   return run(destination, nullptr, &prepend);
 }
 

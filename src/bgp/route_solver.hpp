@@ -3,12 +3,13 @@
 // Under Guideline A (customer > peer > provider), an acyclic customer-
 // provider hierarchy, and the conventional export rules, the BGP system has a
 // unique stable state (Chapter 7, Theorem 1). This solver computes that state
-// for one destination directly, without simulating message exchange: routes
-// are finalized in globally non-decreasing preference order
-// (class rank, AS-path length, next-hop AS number), which is monotone along
-// every legal export step, so a Dijkstra-style greedy pass yields exactly the
-// stable routes. Sibling links are handled transparently (a route keeps the
-// class it had before the sibling chain). The asynchronous path-vector engine
+// for one destination directly, without simulating message exchange. Every
+// legal export keeps or worsens a route's class and adds at least one hop,
+// so routes are finalized from a bucket queue drained in (class rank,
+// AS-path length) order, each node taking its lowest next-hop AS number
+// offer within its bucket: one O(V + E) pass yields exactly the stable
+// routes. Sibling links are handled transparently (a route keeps the class
+// it had before the sibling chain). The asynchronous path-vector engine
 // cross-checks this solver in the test suite.
 #pragma once
 

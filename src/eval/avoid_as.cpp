@@ -27,10 +27,6 @@ AvoidAsResult run_avoid_as(const ExperimentPlan& plan) {
   const auto& tuples =
       plan.sample_tuples(plan.config().sources_per_destination);
   result.tuples = tuples.size();
-  // Source-routing reachability: one BFS per distinct (destination, avoid)
-  // pair, precomputed at plan level and shared read-only by every worker
-  // chunk (and by any later experiment over the same tuples).
-  plan.precompute_avoidance(tuples);
 
   // Per-tuple evaluations are independent; each chunk keeps its own
   // counters, merged after the join. Every merged quantity is a sum of
@@ -73,8 +69,8 @@ AvoidAsResult run_avoid_as(const ExperimentPlan& plan) {
           for (std::size_t p = 0; p < 3; ++p)
             if (policy_ok[p]) ++acc.multi_ok[p];
 
-          if (plan.avoid_reachable(tuple.destination,
-                                   tuple.avoid)[tuple.source])
+          if (reachable_avoiding(plan.graph(), tuple.source,
+                                 tuple.destination, tuple.avoid))
             ++acc.source_ok;
 
           if (!single) {

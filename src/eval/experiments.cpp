@@ -1,7 +1,6 @@
 #include "eval/experiments.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 
 #include "common/error.hpp"
@@ -114,70 +113,38 @@ const std::vector<SampledTuple>& ExperimentPlan::sample_tuples(
   return tuple_cache_.emplace(key, std::move(tuples)).first->second;
 }
 
-void ExperimentPlan::precompute_avoidance(
-    const std::vector<SampledTuple>& tuples) const {
-  obs::ScopedSpan span(obs::profile(), "eval/precompute_avoidance", "eval");
-  // Distinct keys not yet cached, in sorted order so the fan-out (and the
-  // cache layout it produces) is identical at any thread count.
-  std::vector<std::pair<NodeId, NodeId>> missing;
-  for (const SampledTuple& tuple : tuples) {
-    const auto key = std::make_pair(tuple.destination, tuple.avoid);
-    if (avoid_sets_.find(key) == avoid_sets_.end()) missing.push_back(key);
-  }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-
-  const AsGraph& graph = *graph_;
-  auto sets = par::parallel_map(
-      missing, [&graph](const std::pair<NodeId, NodeId>& key) {
-        // BFS from the destination with the avoided AS excised; answers
-        // reachability for every source at once.
-        std::vector<bool> reachable(graph.node_count(), false);
-        std::vector<NodeId> frontier{key.first};
-        reachable[key.first] = true;
-        while (!frontier.empty()) {
-          const NodeId node = frontier.back();
-          frontier.pop_back();
-          for (const topo::Neighbor& n : graph.neighbors(node)) {
-            if (n.node == key.second || reachable[n.node]) continue;
-            reachable[n.node] = true;
-            frontier.push_back(n.node);
-          }
-        }
-        return reachable;
-      });
-  for (std::size_t i = 0; i < missing.size(); ++i)
-    avoid_sets_.emplace(missing[i], std::move(sets[i]));
-}
-
-const std::vector<bool>& ExperimentPlan::avoid_reachable(NodeId destination,
-                                                         NodeId avoid) const {
-  const auto it = avoid_sets_.find(std::make_pair(destination, avoid));
-  require(it != avoid_sets_.end(),
-          "avoid_reachable: key not precomputed (call precompute_avoidance)");
-  return it->second;
-}
-
 bool reachable_avoiding(const AsGraph& graph, NodeId source,
                         NodeId destination, NodeId avoid) {
   if (source == avoid || destination == avoid) return false;
   if (source == destination) return true;
-  std::vector<char> visited(graph.node_count(), 0);
-  std::deque<NodeId> frontier;
-  visited[source] = 1;
-  visited[avoid] = 1;  // never enter the avoided AS
-  frontier.push_back(source);
-  while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop_front();
-    for (const topo::Neighbor& n : graph.neighbors(node)) {
-      if (visited[n.node]) continue;
-      if (n.node == destination) return true;
-      visited[n.node] = 1;
-      frontier.push_back(n.node);
+  // Two breadth-first searches, one from each end; each level grows the
+  // smaller frontier. side[v] is the search that reached v (1 from the
+  // source, 2 from the destination); the avoided AS counts as reached by
+  // neither, so no search enters it.
+  std::vector<char> side(graph.node_count(), 0);
+  side[source] = 1;
+  side[destination] = 2;
+  side[avoid] = 3;
+  std::vector<NodeId> frontiers[2] = {{source}, {destination}};
+  std::vector<NodeId> next;
+  while (true) {
+    const int grow = frontiers[0].size() <= frontiers[1].size() ? 0 : 1;
+    const char mine = static_cast<char>(grow + 1);
+    const char theirs = static_cast<char>(2 - grow);
+    next.clear();
+    for (const NodeId node : frontiers[grow]) {
+      for (const topo::Neighbor& n : graph.neighbors(node)) {
+        if (side[n.node] == theirs) return true;
+        if (side[n.node] != 0) continue;
+        side[n.node] = mine;
+        next.push_back(n.node);
+      }
     }
+    // A search that runs dry has seen its whole component without meeting
+    // the other one, which started inside the other endpoint's component.
+    if (next.empty()) return false;
+    frontiers[grow].swap(next);
   }
-  return false;
 }
 
 }  // namespace miro::eval

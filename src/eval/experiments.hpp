@@ -82,20 +82,6 @@ class ExperimentPlan {
   const std::vector<SampledTuple>& sample_tuples(std::size_t per_destination,
                                                  std::uint64_t salt = 0) const;
 
-  /// Runs (in parallel, deterministically) the one-BFS-per-distinct
-  /// (destination, avoid) source-routing reachability precomputation for
-  /// the given tuples; already-cached keys are skipped. Call before fanning
-  /// out workers that read avoid_reachable().
-  void precompute_avoidance(const std::vector<SampledTuple>& tuples) const;
-
-  /// The set of nodes that can still reach `destination` with `avoid`
-  /// excised, indexed by node id. The key must have been precomputed; the
-  /// returned reference is stable and safe to read from many threads. One
-  /// BFS answers every source of that (destination, avoid), and the cache
-  /// is shared across experiments instead of re-run per worker chunk.
-  const std::vector<bool>& avoid_reachable(NodeId destination,
-                                           NodeId avoid) const;
-
   const EvalConfig& config() const { return config_; }
 
   /// Deterministic footprint of the plan's routing state (capacity walk over
@@ -119,13 +105,13 @@ class ExperimentPlan {
   mutable std::map<std::pair<std::size_t, std::uint64_t>,
                    std::vector<SampledTuple>>
       tuple_cache_;
-  mutable std::map<std::pair<NodeId, NodeId>, std::vector<bool>>
-      avoid_sets_;
 };
 
 /// True when `destination` is reachable from `source` in the graph with
 /// `avoid` removed — the success criterion for unconstrained source routing
-/// (Table 5.2's last column). BFS over the undirected graph.
+/// (Table 5.2's last column). A bidirectional BFS over the undirected graph:
+/// it grows the smaller of the two frontiers one level at a time and stops
+/// when they meet or when either runs dry.
 bool reachable_avoiding(const AsGraph& graph, NodeId source,
                         NodeId destination, NodeId avoid);
 

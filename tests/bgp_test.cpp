@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bgp/path_table.hpp"
@@ -280,6 +282,165 @@ TEST(StableRouteSolver, PinnedRouteRequiresAdjacency) {
   Figure31Topology fig;
   StableRouteSolver solver(fig.graph);
   EXPECT_THROW(solver.solve_pinned(fig.f, PinnedRoute{fig.a, fig.f}), Error);
+}
+
+// Randomized oracle for the modified solves: each is compared with the
+// asynchronous engine under the policy hook that expresses the same
+// modification, on `tiny` graphs with sampled destinations, pins, avoided
+// ASes and prepend neighbors.
+class ModifiedSolveOracle : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    topo::GeneratorParams params = topo::profile("tiny");
+    params.seed = GetParam();
+    params.node_count = 120;
+    graph_ = topo::generate(params);
+  }
+
+  // Five distinct sampled destinations.
+  std::vector<topo::NodeId> destinations() {
+    std::vector<topo::NodeId> out;
+    for (std::size_t index : rng_.sample_indices(graph_.node_count(), 5))
+      out.push_back(static_cast<topo::NodeId>(index));
+    return out;
+  }
+
+  topo::NodeId random_neighbor(topo::NodeId node) {
+    const topo::NeighborRange range = graph_.neighbors(node);
+    return range[rng_.next_below(range.size())].node;
+  }
+
+  // Runs the engine to its stable state and compares it with `tree` node by
+  // node; `padding` is the virtual length the solver adds to a route.
+  void expect_agrees(const RoutingTree& tree, PolicyHooks hooks,
+                     const std::function<std::uint32_t(const Route&)>& padding,
+                     const std::string& label) {
+    PathVectorEngine engine(graph_, tree.destination(), std::move(hooks));
+    ASSERT_TRUE(engine.run_to_stable().has_value()) << label;
+    for (topo::NodeId node = 0; node < graph_.node_count(); ++node) {
+      ASSERT_EQ(tree.reachable(node), engine.has_route(node))
+          << label << " node " << node;
+      if (!tree.reachable(node)) continue;
+      const Route& best = engine.best(node);
+      EXPECT_EQ(tree.path_of(node), best.path) << label << " node " << node;
+      EXPECT_EQ(tree.route_class(node), best.route_class)
+          << label << " node " << node;
+      EXPECT_EQ(tree.path_length(node), best.length() + padding(best))
+          << label << " node " << node;
+    }
+  }
+
+  static std::uint32_t no_padding(const Route&) { return 0; }
+
+  topo::AsGraph graph_;
+  Rng rng_{GetParam() * 7919};
+};
+
+TEST_P(ModifiedSolveOracle, PinnedSolveMatchesEngineWithImportFilter) {
+  StableRouteSolver solver(graph_);
+  for (topo::NodeId dest : destinations()) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto node =
+          static_cast<topo::NodeId>(rng_.next_below(graph_.node_count()));
+      if (node == dest || graph_.degree(node) == 0) continue;
+      const PinnedRoute pin{node, random_neighbor(node)};
+      PolicyHooks hooks;
+      hooks.imports = [pin](const Route& candidate) {
+        return candidate.owner() != pin.node ||
+               candidate.next_hop() == pin.forced_next_hop;
+      };
+      expect_agrees(solver.solve_pinned(dest, pin), std::move(hooks),
+                    no_padding,
+                    "dest " + std::to_string(dest) + " pin " +
+                        std::to_string(pin.node) + "->" +
+                        std::to_string(pin.forced_next_hop));
+    }
+  }
+}
+
+TEST_P(ModifiedSolveOracle, AvoidingSolveMatchesEngineWithImportFilter) {
+  StableRouteSolver solver(graph_);
+  for (topo::NodeId dest : destinations()) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto avoid =
+          static_cast<topo::NodeId>(rng_.next_below(graph_.node_count()));
+      if (avoid == dest) continue;
+      PolicyHooks hooks;
+      hooks.imports = [avoid](const Route& candidate) {
+        return !candidate.traverses(avoid);
+      };
+      expect_agrees(solver.solve_avoiding(dest, avoid), std::move(hooks),
+                    no_padding,
+                    "dest " + std::to_string(dest) + " avoid " +
+                        std::to_string(avoid));
+    }
+  }
+}
+
+TEST_P(ModifiedSolveOracle, PrependedSolveMatchesEngineWithPaddedLengths) {
+  StableRouteSolver solver(graph_);
+  for (topo::NodeId dest : destinations()) {
+    if (graph_.degree(dest) == 0) continue;
+    for (int trial = 0; trial < 3; ++trial) {
+      const OriginPrepend prepend{
+          random_neighbor(dest),
+          static_cast<std::uint32_t>(1 + rng_.next_below(3))};
+      // Routes whose last hop is the prepend neighbor carry the padding.
+      const auto padding = [prepend](const Route& route) -> std::uint32_t {
+        return route.path.size() >= 2 &&
+                       route.path[route.path.size() - 2] == prepend.neighbor
+                   ? prepend.extra
+                   : 0;
+      };
+      PolicyHooks hooks;
+      hooks.prefers = [this, padding](const Route& a, const Route& b) {
+        if (a.route_class != b.route_class)
+          return rank(a.route_class) < rank(b.route_class);
+        const std::size_t length_a = a.length() + padding(a);
+        const std::size_t length_b = b.length() + padding(b);
+        if (length_a != length_b) return length_a < length_b;
+        const topo::AsNumber next_a = graph_.as_number(a.next_hop());
+        const topo::AsNumber next_b = graph_.as_number(b.next_hop());
+        if (next_a != next_b) return next_a < next_b;
+        return a.path < b.path;
+      };
+      expect_agrees(solver.solve_prepended(dest, prepend), std::move(hooks),
+                    padding,
+                    "dest " + std::to_string(dest) + " prepend " +
+                        std::to_string(prepend.neighbor) + " x" +
+                        std::to_string(prepend.extra));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TinySeeds, ModifiedSolveOracle,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(StableRouteSolver, PrependLongerThanAnyPathKeepsOrderAndLength) {
+  // z is a stub of p1 and p2, both customers of t. Padding z's link to p1
+  // far beyond any simple path length sends t via p2 although p1 has the
+  // lower AS number, and the reported length carries the whole padding.
+  topo::AsGraph graph;
+  const auto p1 = graph.add_as(1);
+  const auto p2 = graph.add_as(2);
+  const auto t = graph.add_as(3);
+  const auto z = graph.add_as(4);
+  graph.add_customer_provider(/*provider=*/p1, /*customer=*/z);
+  graph.add_customer_provider(p2, z);
+  graph.add_customer_provider(t, p1);
+  graph.add_customer_provider(t, p2);
+  StableRouteSolver solver(graph);
+  EXPECT_EQ(solver.solve(z).next_hop(t), p1);  // the AS-number tie-break
+  const std::uint32_t extra = 1'000'000'000;
+  const RoutingTree padded =
+      solver.solve_prepended(z, OriginPrepend{p1, extra});
+  EXPECT_EQ(padded.route_class(p1), RouteClass::Customer);
+  EXPECT_EQ(padded.path_length(p1), 1u + extra);
+  EXPECT_EQ(padded.path_of(t), (std::vector<topo::NodeId>{t, p2, z}));
+  EXPECT_EQ(padded.path_length(t), 2u);
+  // Padding that would wrap a 32-bit path length is rejected.
+  EXPECT_THROW(solver.solve_prepended(z, OriginPrepend{p1, 0xFFFFFFFFu}),
+               Error);
 }
 
 // ------------------------------------------------------------- engine

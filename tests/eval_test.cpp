@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "eval/avoid_as.hpp"
 #include "eval/dataset_report.hpp"
 #include "eval/experiments.hpp"
@@ -65,6 +66,57 @@ TEST(ReachableAvoiding, BasicProperties) {
   EXPECT_FALSE(
       reachable_avoiding(plan.graph(), t.source, t.destination, t.source));
   EXPECT_TRUE(reachable_avoiding(plan.graph(), t.source, t.source, t.avoid));
+}
+
+// One-directional BFS from the source with `avoid` removed: the reference
+// the bidirectional search must agree with.
+bool reference_reachable_avoiding(const topo::AsGraph& graph, NodeId source,
+                                  NodeId destination, NodeId avoid) {
+  if (source == avoid || destination == avoid) return false;
+  std::vector<bool> seen(graph.node_count(), false);
+  std::vector<NodeId> queue{source};
+  seen[source] = true;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    if (queue[head] == destination) return true;
+    for (const topo::Neighbor& n : graph.neighbors(queue[head])) {
+      if (n.node == avoid || seen[n.node]) continue;
+      seen[n.node] = true;
+      queue.push_back(n.node);
+    }
+  }
+  return false;
+}
+
+TEST(ReachableAvoiding, AgreesWithOneDirectionalSearch) {
+  const topo::AsGraph& graph = tiny_plan().graph();
+  const std::size_t n = graph.node_count();
+  Rng rng(41);
+  const auto random_node = [&] {
+    return static_cast<NodeId>(rng.next_below(n));
+  };
+  for (int i = 0; i < 400; ++i) {
+    const NodeId source = random_node();
+    const NodeId destination = random_node();
+    const NodeId avoid = random_node();
+    EXPECT_EQ(reachable_avoiding(graph, source, destination, avoid),
+              reference_reachable_avoiding(graph, source, destination, avoid))
+        << source << " -> " << destination << " avoiding " << avoid;
+  }
+  // Forced negatives: a single-homed stub cut off by avoiding its only
+  // provider, in either direction, and an avoided endpoint.
+  std::size_t cut_off = 0;
+  for (NodeId stub = 0; stub < n; ++stub) {
+    if (!graph.is_stub(stub) || graph.degree(stub) != 1) continue;
+    const NodeId provider = graph.neighbors(stub).front().node;
+    const NodeId other = stub == 0 ? 1 : 0;
+    if (other == provider) continue;
+    EXPECT_FALSE(reachable_avoiding(graph, stub, other, provider)) << stub;
+    EXPECT_FALSE(reachable_avoiding(graph, other, stub, provider)) << stub;
+    EXPECT_FALSE(reachable_avoiding(graph, stub, other, stub)) << stub;
+    EXPECT_FALSE(reachable_avoiding(graph, other, stub, stub)) << stub;
+    ++cut_off;
+  }
+  EXPECT_GT(cut_off, 0u) << "the tiny graph has no single-homed stub";
 }
 
 TEST(PathDiversity, PolicyAndScopeMonotonicity) {
